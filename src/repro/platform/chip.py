@@ -2,16 +2,29 @@
 
 A :class:`Chip` owns the hardware blocks, the per-tile DVFS state and the
 shared bus, and maintains an *exact* per-block energy accumulator: every
-state change (frequency, activity, gating, new temperatures) first
-settles the energy integral at the cached power level, then updates the
-cached level.  The thermal integrator drains interval-averaged power from
-this accumulator every sensor period, so no power transient is lost no
-matter how it interleaves with the 10 ms thermal ticks.
+tile state change (frequency, activity, gating) and every temperature
+update first settles the energy integral at the cached power level, then
+updates the cached level.  The thermal integrator drains
+interval-averaged power from this accumulator every sensor period, so no
+tile power transient is lost no matter how it interleaves with the 10 ms
+thermal ticks.
+
+The shared memory is the exception: its activity follows the bus, and
+the bus does not notify the chip, so the shared blocks' power is sampled
+only at construction and at each temperature update (the sensor ticks)
+and held in between.  That is the model's behaviour, and the committed
+goldens encode it.
+
+Block power is split the way :meth:`PowerModel.power` defines it: a tile
+block's dynamic power depends only on its tile's (OPP, active, gated)
+state and is memoized per state for the whole run, while leakage depends
+only on temperature and is recomputed once per temperature update.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+import math
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,11 +111,30 @@ class Chip:
         self._cumulative_j = np.zeros(n, dtype=float)
         self._last_settle = self.clock()
         self._drain_from = self.clock()
-        self._tile_block_idx = [
-            np.array([self._block_index[b.name] for b in tile.blocks])
-            for tile in self.tiles]
-        self._tile_power_cache: List[Dict] = [{} for _ in self.tiles]
-        self._recompute_all_powers()
+        # A tile's blocks sit contiguously in the block vector, so its
+        # entries are a slice (a view) rather than a fancy index.
+        self._tile_slices: List[slice] = []
+        start = 0
+        for tile in self.tiles:
+            self._tile_slices.append(slice(start, start + len(tile.blocks)))
+            start += len(tile.blocks)
+        self._shared_idx = [self._block_index[b.name]
+                            for b in self.shared_blocks]
+        # Tile block power is ``dyn + leak * scale``: ``dyn`` and
+        # ``scale`` (1.0 when live, the gated leakage fraction when
+        # gated, with ``dyn`` 0.0) follow the tile state, ``leak`` the
+        # temperatures.  Shared entries stay 0.0 in all three vectors.
+        self._dyn_w = np.zeros(n, dtype=float)
+        self._leak_scale = np.zeros(n, dtype=float)
+        self._leak_w = np.zeros(n, dtype=float)
+        self._leak_params: List[Tuple[float, float, float]] = [
+            (b.power_model.params.leak_ref, b.power_model.params.leak_alpha,
+             b.power_model.params.t_ref_c)
+            for tile in self.tiles for b in tile.blocks]
+        self._dyn_memo: List[Dict] = [{} for _ in self.tiles]
+        for tile in self.tiles:
+            self._apply_tile_state(tile)
+        self._refresh_power()
 
     # ------------------------------------------------------------------
     # topology queries
@@ -134,7 +166,7 @@ class Chip:
             return
         self.settle()
         tile.opp = opp
-        self._recompute_tile_powers(tile)
+        self._apply_tile_state(tile)
 
     def set_tile_active(self, tile_index: int, active: bool) -> None:
         tile = self.tiles[tile_index]
@@ -142,7 +174,7 @@ class Chip:
             return
         self.settle()
         tile.active = active
-        self._recompute_tile_powers(tile)
+        self._apply_tile_state(tile)
 
     def set_tile_gated(self, tile_index: int, gated: bool) -> None:
         tile = self.tiles[tile_index]
@@ -150,18 +182,27 @@ class Chip:
             return
         self.settle()
         tile.gated = gated
-        self._recompute_tile_powers(tile)
+        self._apply_tile_state(tile)
 
     def update_temperatures(self, temps_c: np.ndarray) -> None:
-        """Feed back block temperatures (leakage depends on them)."""
+        """Feed back block temperatures (leakage depends on them).
+
+        Raises :class:`ValueError` naming the first block whose
+        temperature is NaN or infinite; the chip's state is untouched.
+        """
         if len(temps_c) != self.n_blocks:
             raise ValueError(
                 f"expected {self.n_blocks} temperatures, got {len(temps_c)}")
+        temps = np.array(temps_c, dtype=float)
+        finite = np.isfinite(temps)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(
+                f"non-finite temperature {temps[bad]} for block "
+                f"{self.blocks[bad].name!r}")
         self.settle()
-        self.temps_c = np.asarray(temps_c, dtype=float).copy()
-        for cache in self._tile_power_cache:
-            cache.clear()           # leakage depends on temperature
-        self._recompute_all_powers()
+        self.temps_c = temps
+        self._refresh_power()
 
     # ------------------------------------------------------------------
     # power / energy accounting
@@ -233,41 +274,56 @@ class Chip:
             return 0.4 if tile.active else 0.05
         return 0.0
 
-    def _block_power(self, block: HardwareBlock, tile: Optional[Tile]) -> float:
+    def _shared_block_power(self, block: HardwareBlock) -> float:
+        # Shared blocks run at a fixed bus clock, modelled at f_ref.
         idx = self._block_index[block.name]
-        temp = float(self.temps_c[idx])
-        if tile is None:
-            # Shared blocks run at a fixed bus clock, modelled at f_ref.
-            return block.power_model.power(
-                block.power_model.params.f_ref_hz,
-                block.power_model.params.v_ref,
-                self._block_activity(block, None), temp, gated=False)
+        params = block.power_model.params
         return block.power_model.power(
-            tile.opp.frequency_hz, tile.opp.voltage,
-            self._block_activity(block, tile), temp, gated=tile.gated)
+            params.f_ref_hz, params.v_ref, self._block_activity(block, None),
+            float(self.temps_c[idx]), gated=False)
 
-    def _recompute_tile_powers(self, tile: Tile) -> None:
-        # Between temperature updates a tile's block powers depend only
-        # on (opp, active, gated), and the scheduler toggles ``active``
-        # thousands of times per 10 ms sensor period — memoizing the
-        # power vector per state turns the dominant profile entry into
-        # a dict hit.  The cached floats are the exact values a fresh
-        # computation would produce, so results stay bit-identical.
-        cache = self._tile_power_cache[tile.index]
+    def _tile_dynamic(self, tile: Tile) -> Tuple[np.ndarray, np.ndarray]:
+        """``(dyn, scale)`` of a tile's blocks in its current state."""
+        if tile.gated:
+            # Clock and supply cut: only the residual leakage remains.
+            return (np.zeros(len(tile.blocks)),
+                    np.array([b.power_model.params.gated_leak_fraction
+                              for b in tile.blocks]))
+        dyn = [b.power_model.dynamic_power(
+                   tile.opp.frequency_hz, tile.opp.voltage,
+                   self._block_activity(b, tile))
+               for b in tile.blocks]
+        return np.array(dyn), np.ones(len(tile.blocks))
+
+    def _apply_tile_state(self, tile: Tile) -> None:
+        # The scheduler toggles ``active`` thousands of times per run,
+        # and dynamic power never depends on temperature, so each
+        # state's vector is computed once and kept for the whole run.
+        memo = self._dyn_memo[tile.index]
         key = (tile.opp, tile.active, tile.gated)
-        powers = cache.get(key)
-        if powers is None:
-            powers = np.array([self._block_power(block, tile)
-                               for block in tile.blocks])
-            cache[key] = powers
-        self._power_w[self._tile_block_idx[tile.index]] = powers
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = self._tile_dynamic(tile)
+        dyn, scale = entry
+        s = self._tile_slices[tile.index]
+        self._dyn_w[s] = dyn
+        self._leak_scale[s] = scale
+        self._power_w[s] = dyn + self._leak_w[s] * scale
 
-    def _recompute_shared_powers(self) -> None:
-        for block in self.shared_blocks:
-            idx = self._block_index[block.name]
-            self._power_w[idx] = self._block_power(block, None)
+    def _refresh_power(self) -> None:
+        """Recompute leakage at the current temperatures, then all power.
 
-    def _recompute_all_powers(self) -> None:
-        for tile in self.tiles:
-            self._recompute_tile_powers(tile)
-        self._recompute_shared_powers()
+        One ``math.exp`` per tile block, in the operation order of
+        :meth:`PowerModel.leakage_power`: ``np.exp`` is not bitwise
+        equal to ``math.exp`` on every platform, and the goldens pin
+        the scalar results.
+        """
+        exp = math.exp
+        temps = self.temps_c.tolist()
+        self._leak_w[:len(self._leak_params)] = [
+            leak_ref * exp(alpha * (t - t_ref))
+            for (leak_ref, alpha, t_ref), t in zip(self._leak_params, temps)]
+        np.add(self._dyn_w, self._leak_w * self._leak_scale,
+               out=self._power_w)
+        for idx, block in zip(self._shared_idx, self.shared_blocks):
+            self._power_w[idx] = self._shared_block_power(block)

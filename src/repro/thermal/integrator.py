@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy.linalg import expm, lu_factor, lu_solve
+from scipy.linalg import expm, get_lapack_funcs, lu_factor
 
 from repro.thermal.cache import clear_artifact_cache, shared_artifacts
 from repro.thermal.rc_network import RCNetwork
@@ -52,7 +52,11 @@ class ExactIntegrator:
 
     def __init__(self, network: RCNetwork):
         self.network = network
-        self._lu = lu_factor(network.conductance)
+        self._lu, self._piv = lu_factor(network.conductance)
+        # ``lu_solve`` ends in this LAPACK routine; calling it directly
+        # skips the wrapper's per-call dispatch, which costs more than
+        # the solve itself on a network of a few dozen nodes.
+        self._getrs, = get_lapack_funcs(("getrs",), (self._lu,))
         self._propagators: Dict[float, np.ndarray] = {}
         # -C^-1 K, the state matrix of dT/dt = A T + C^-1 (P + b).
         self._state_matrix = -(network.conductance
@@ -76,8 +80,19 @@ class ExactIntegrator:
         return prop
 
     def steady_state(self, block_power: np.ndarray) -> np.ndarray:
-        """Equilibrium for constant power, via the pre-factored solve."""
-        return lu_solve(self._lu, self.network.forcing_vector(block_power))
+        """Equilibrium for constant power, via the pre-factored solve.
+
+        Raises :class:`ValueError` when the power holds NaN or infinity,
+        as :func:`scipy.linalg.lu_solve` does.
+        """
+        forcing = self.network.forcing_vector(block_power)
+        if not np.isfinite(forcing).all():
+            raise ValueError("array must not contain infs or NaNs")
+        t_ss, info = self._getrs(self._lu, self._piv, forcing)
+        if info != 0:
+            raise ValueError(
+                f"illegal value in {-info}th argument of internal getrs")
+        return t_ss
 
     def advance(self, temps: np.ndarray, block_power: np.ndarray,
                 dt: float) -> np.ndarray:

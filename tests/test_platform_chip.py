@@ -87,6 +87,19 @@ class TestPowerState:
         with pytest.raises(ValueError):
             chip.update_temperatures(np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_temperature_rejected(self, chip, bad):
+        chip.set_tile_active(0, True)
+        before = (chip.current_power_w(), chip.temps_c.copy())
+        temps = chip.temps_c + 10.0
+        temps[chip.block_index("dcache1")] = bad
+        temps[chip.block_index("core2")] = np.nan
+        with pytest.raises(ValueError, match="'dcache1'"):
+            chip.update_temperatures(temps)
+        # Rejected before any state moved.
+        assert np.array_equal(chip.current_power_w(), before[0])
+        assert np.array_equal(chip.temps_c, before[1])
+
 
 class TestEnergyAccounting:
     def test_average_power_of_constant_state(self, sim, chip):

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
-from repro.platform.presets import build_floorplan
+from repro.platform.presets import (
+    CONF1_STREAMING,
+    build_floorplan,
+    build_grid_floorplan,
+)
 from repro.thermal.integrator import (
     EulerIntegrator,
     ExactIntegrator,
@@ -78,6 +84,48 @@ class TestExactIntegrator:
         integ = ExactIntegrator(network)
         assert np.allclose(integ.steady_state(power),
                            network.steady_state(power), atol=1e-9)
+
+
+def _network(fp):
+    return build_network(fp, list(fp.names), MOBILE_EMBEDDED,
+                         ambient_c=CONF1_STREAMING.ambient_c)
+
+
+SOLVE_NETWORKS = {"conf1": _network(build_floorplan(3)),
+                  "grid6": _network(build_grid_floorplan(6))}
+
+
+class TestExactSolveMatchesLuSolve:
+    """The direct LAPACK call must equal the ``lu_solve`` formulation
+    bit for bit, on the paper's floorplan and on a 2-D grid."""
+
+    @pytest.mark.parametrize("name", sorted(SOLVE_NETWORKS))
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_steady_state_and_advance_bitwise(self, name, data):
+        network = SOLVE_NETWORKS[name]
+        n = network.n_blocks
+        power = np.array(data.draw(st.lists(
+            st.floats(0.0, 2.0), min_size=n, max_size=n), label="power"))
+        temps = np.array(data.draw(st.lists(
+            st.floats(20.0, 130.0), min_size=network.n_nodes,
+            max_size=network.n_nodes), label="temps"))
+        integ = ExactIntegrator(network)
+        t_ss = lu_solve(lu_factor(network.conductance),
+                        network.forcing_vector(power))
+        assert np.array_equal(integ.steady_state(power), t_ss)
+        expected = t_ss + integ._propagator(0.01) @ (temps - t_ss)
+        assert np.array_equal(integ.advance(temps, power, 0.01), expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_power_rejected(self, network, power, bad):
+        integ = ExactIntegrator(network)
+        power = power.copy()
+        power[1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            integ.steady_state(power)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            integ.advance(network.initial_temperatures(), power, 0.01)
 
 
 class TestEulerIntegrator:
