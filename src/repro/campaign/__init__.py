@@ -17,11 +17,13 @@ service, split into separable layers:
   without touching the runner.  :class:`SystemBuilder` composes the
   resolved components into a runnable system.
 * **Execution backends** (:mod:`repro.campaign.backends`) — pluggable
-  strategies for *how* a batch of simulations runs: ``serial``,
-  ``process-pool`` (per-config fan-out) and ``batched``
-  (network-sharing groups, one ``expm`` per group per worker).  All
-  backends are byte-identical in their results; they only trade
-  wall-clock time.
+  strategies for *how* a batch of simulations runs.  One local engine
+  groups configs by lockstep group and runs them in-process or over a
+  process pool; ``serial``, ``process-pool``, ``batched`` and
+  ``vectorized`` (lockstep groups, one thermal mat-mat per sensor
+  epoch) name its schedules, and ``distributed`` wraps the fabric
+  below.  All backends are byte-identical in their results; they only
+  trade wall-clock time.
 * **Result store** (:mod:`repro.campaign.store`) — a queryable SQLite
   table of completed runs (one flat row per run, keyed by config hash
   and campaign name) that doubles as the cross-session cache and the

@@ -9,30 +9,26 @@ changes *how* the simulations are scheduled, never what they compute:
 runs are deterministic, so every backend produces byte-identical
 reports for the same configs (see the parity tests).
 
-Built-in backends, resolved by name through :data:`backend_registry`:
+All local execution goes through one engine, :class:`LocalBackend`;
+four built-in names, resolved through :data:`backend_registry`,
+select its schedule:
 
-* ``serial`` — in-process loop; the process-wide propagator cache in
-  :mod:`repro.thermal.integrator` stays warm across all runs.
-* ``process-pool`` — one config per ``multiprocessing`` task,
-  round-robined over workers; best when configs are heterogeneous.
-* ``batched`` — groups configs that share thermal-solver artifacts
-  (same platform / package / core count / solver) and ships each group
-  to a worker whole, so the RC network's propagator artifacts are
-  built once per group instead of once per (worker, network)
-  encounter.  Best for topology-diverse sweeps with many runs per
-  platform.
-* ``vectorized`` — groups like ``batched`` (plus sensor period and
-  phase timing) and runs each group's simulators *in lockstep*: at
-  every common sensor epoch the K per-config thermal advances collapse
-  into one :meth:`~repro.thermal.solvers.ThermalSolver.advance_batch`
-  mat-mat (see :mod:`repro.campaign.lockstep`).  Best for sweeps with
-  many configs per network — threshold sweeps, seed sweeps — on
-  machines with few cores.
-* ``distributed`` — the resumable campaign fabric
-  (:mod:`repro.campaign.fabric`): configs are journaled to a durable
-  SQLite queue, leased in lockstep-group batches by supervised worker
-  processes, and merged back idempotently.  Survives worker loss and
-  whole-campaign kills; re-running resumes from the journal.
+* ``serial`` — everything in-process, whatever ``workers`` says; the
+  process-wide solver-artifact cache stays warm across all runs.
+* ``process-pool`` / ``batched`` (one schedule, two names) — one
+  config per pool task, in group order, so a worker's contiguous
+  share of the sweep mostly reuses one network's artifacts.
+* ``vectorized`` — one lockstep group per unit: at every common
+  sensor epoch the group's K thermal advances collapse into one
+  :meth:`~repro.thermal.solvers.ThermalSolver.advance_batch` mat-mat
+  (see :mod:`repro.campaign.lockstep`).  A single group stays
+  in-process; several fan out with one process per group.
+
+``distributed`` wraps the resumable campaign fabric
+(:mod:`repro.campaign.fabric`) instead: configs are journaled to a
+durable SQLite queue, leased in lockstep-group batches by supervised
+worker processes, and merged back idempotently, so a killed campaign
+resumes from the journal.
 
 New backends plug in without touching the runner::
 
@@ -49,8 +45,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import shutil
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -75,6 +73,29 @@ def register_backend(name: str):
 def make_backend(name: str) -> "ExecutionBackend":
     """Resolve a backend by name (helpful error on a typo)."""
     return backend_registry.resolve(name)
+
+
+def pool_context() -> multiprocessing.context.BaseContext:
+    """The start method of every child process the campaign spawns.
+
+    Prefers ``fork`` where available: children inherit the parent's
+    scenario registries, so even configs referencing components
+    registered at runtime (custom policies, ablation variants)
+    validate in the child.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else None)
+
+
+def import_scenarios() -> None:
+    """Register the in-repo scenarios that live outside the registries'
+    own packages, so their names validate in a child process.
+
+    Under a spawn/forkserver start method a child re-imports from
+    scratch; fork children inherit the registries and need nothing.
+    """
+    from repro.experiments import ablation, figure1  # noqa: F401
 
 
 @dataclass
@@ -112,62 +133,6 @@ class ExecutionBackend:
         """Reports for ``configs``, in order.  ``workers`` is a hint."""
         raise NotImplementedError
 
-    @staticmethod
-    def _pool_context() -> multiprocessing.context.BaseContext:
-        # Prefer fork where available: workers inherit the parent's
-        # scenario registries, so even configs referencing components
-        # registered at runtime (custom policies, ablation variants)
-        # validate in the worker.
-        methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context(
-            "fork" if "fork" in methods else None)
-
-
-def _execute_one(config_dict: Dict) -> Dict:
-    """Worker entry point: one simulation, plain dicts in and out."""
-    # Under a spawn/forkserver start method the worker re-imports from
-    # scratch; pull in the in-repo modules that register extra
-    # scenarios so their names validate.  (Fork workers inherit the
-    # parent's registries and don't need this.)
-    from repro.experiments import ablation, figure1  # noqa: F401
-    from repro.experiments.config import ExperimentConfig
-    from repro.experiments.runner import run_experiment
-    config = ExperimentConfig.from_dict(config_dict)
-    return run_experiment(config).report.to_dict()
-
-
-def _execute_group(config_dicts: List[Dict]) -> List[Dict]:
-    """Worker entry point: one network-sharing group, run in order."""
-    return [_execute_one(d) for d in config_dicts]
-
-
-@register_backend("serial")
-class SerialBackend(ExecutionBackend):
-    """In-process execution, one config after another."""
-
-    name = "serial"
-
-    def execute(self, configs: List["ExperimentConfig"],
-                workers: int) -> List[RunReport]:
-        from repro.experiments.runner import run_experiment
-        return [run_experiment(config).report for config in configs]
-
-
-@register_backend("process-pool")
-class ProcessPoolBackend(ExecutionBackend):
-    """One config per pool task (the classic fan-out)."""
-
-    name = "process-pool"
-
-    def execute(self, configs: List["ExperimentConfig"],
-                workers: int) -> List[RunReport]:
-        if workers <= 1 or len(configs) <= 1:
-            return SerialBackend().execute(configs, workers)
-        with self._pool_context().Pool(min(workers, len(configs))) as pool:
-            dicts = pool.map(_execute_one,
-                             [config.to_dict() for config in configs])
-        return [RunReport(**d) for d in dicts]
-
 
 def network_group_key(config: "ExperimentConfig") -> Tuple:
     """Grouping key: configs with equal keys share solver artifacts.
@@ -182,46 +147,8 @@ def network_group_key(config: "ExperimentConfig") -> Tuple:
             config.solver)
 
 
-@register_backend("batched")
-class BatchedBackend(ExecutionBackend):
-    """Network-sharing groups shipped to workers whole.
-
-    Each worker builds the RC network and its ``expm`` propagator once
-    per group (the process-wide integrator cache makes every run after
-    the group's first skip the matrix exponential), instead of paying
-    that cost once per (worker, network) pair as the per-config pool
-    does.  Groups are ordered largest-first so the pool stays busy.
-    """
-
-    name = "batched"
-
-    def execute(self, configs: List["ExperimentConfig"],
-                workers: int) -> List[RunReport]:
-        if workers <= 1 or len(configs) <= 1:
-            return SerialBackend().execute(configs, workers)
-        groups: Dict[Tuple, List[int]] = {}
-        for i, config in enumerate(configs):
-            groups.setdefault(network_group_key(config), []).append(i)
-        batches = sorted(groups.values(), key=len, reverse=True)
-        if len(batches) == 1:
-            # One network: a single batch would serialize everything —
-            # fall back to per-config fan-out (workers stay warm after
-            # their first run anyway).
-            return ProcessPoolBackend().execute(configs, workers)
-        with self._pool_context().Pool(min(workers, len(batches))) as pool:
-            results = pool.map(
-                _execute_group,
-                [[configs[i].to_dict() for i in batch]
-                 for batch in batches])
-        reports: List[RunReport] = [None] * len(configs)  # type: ignore
-        for batch, dicts in zip(batches, results):
-            for i, d in zip(batch, dicts):
-                reports[i] = RunReport(**d)
-        return reports
-
-
 def lockstep_group_key(config: "ExperimentConfig") -> Tuple:
-    """Grouping key for the ``vectorized`` backend.
+    """Grouping key of the local engine and the fabric's leases.
 
     Extends :func:`network_group_key` with the fields that must match
     for simulators to hit sensor ticks at the same instants: the sensor
@@ -231,52 +158,74 @@ def lockstep_group_key(config: "ExperimentConfig") -> Tuple:
         config.sensor_period_s, config.warmup_s, config.measure_s)
 
 
-def _execute_lockstep_group(config_dicts: List[Dict]) -> List[Dict]:
-    """Worker entry point: one lockstep group, reports in group order."""
-    from repro.campaign.lockstep import run_lockstep_group
-    from repro.experiments import ablation, figure1  # noqa: F401
+def _run_unit(configs: List["ExperimentConfig"],
+              lockstep: bool) -> List[RunReport]:
+    """Reports for one unit of work, in unit order."""
+    if lockstep:
+        from repro.campaign.lockstep import run_lockstep_group
+        return run_lockstep_group(configs)
+    from repro.experiments.runner import run_experiment
+    return [run_experiment(config).report for config in configs]
+
+
+def _run_unit_in_child(config_dicts: List[Dict],
+                       lockstep: bool) -> List[Dict]:
+    """Pool entry point: :func:`_run_unit` with plain dicts in and out."""
+    import_scenarios()
     from repro.experiments.config import ExperimentConfig
     configs = [ExperimentConfig.from_dict(d) for d in config_dicts]
-    return [report.to_dict() for report in run_lockstep_group(configs)]
+    return [report.to_dict() for report in _run_unit(configs, lockstep)]
 
 
-@register_backend("vectorized")
-class VectorizedBackend(ExecutionBackend):
-    """Lockstep groups: one mat-mat thermal advance per sensor epoch.
+class LocalBackend(ExecutionBackend):
+    """The one local execution engine.
 
-    Unlike ``batched``, a single worker still benefits: the speedup
-    comes from collapsing K solver calls into one batched call
-    in-process, not from parallelism.  With multiple workers and
-    multiple groups, the groups fan out over a pool — never more
-    processes than groups, so no worker sits idle.
+    Configs are grouped by :func:`lockstep_group_key`, largest group
+    first.  A unit of work is a whole group with ``lockstep``, else one
+    config in group order.  With one worker or one unit the units run
+    in-process; otherwise over a pool of ``min(workers, units)``
+    processes.  ``max_workers`` caps the worker hint.
     """
 
-    name = "vectorized"
+    def __init__(self, name: str, lockstep: bool = False,
+                 max_workers: Optional[int] = None):
+        self.name = name
+        self.lockstep = lockstep
+        self.max_workers = max_workers
 
     def execute(self, configs: List["ExperimentConfig"],
                 workers: int) -> List[RunReport]:
-        from repro.campaign.lockstep import run_lockstep_group
         groups: Dict[Tuple, List[int]] = {}
         for i, config in enumerate(configs):
             groups.setdefault(lockstep_group_key(config), []).append(i)
-        batches = sorted(groups.values(), key=len, reverse=True)
+        ordered = sorted(groups.values(), key=len, reverse=True)
+        units = ordered if self.lockstep else \
+            [[i] for group in ordered for i in group]
+        if self.max_workers is not None:
+            workers = min(workers, self.max_workers)
+        if workers <= 1 or len(units) <= 1:
+            results = [_run_unit([configs[i] for i in unit], self.lockstep)
+                       for unit in units]
+        else:
+            with pool_context().Pool(min(workers, len(units))) as pool:
+                dicts = pool.map(
+                    partial(_run_unit_in_child, lockstep=self.lockstep),
+                    [[configs[i].to_dict() for i in unit]
+                     for unit in units])
+            results = [[RunReport(**d) for d in unit_dicts]
+                       for unit_dicts in dicts]
         reports: List[RunReport] = [None] * len(configs)  # type: ignore
-        if workers <= 1 or len(batches) == 1:
-            for batch in batches:
-                group_reports = run_lockstep_group(
-                    [configs[i] for i in batch])
-                for i, report in zip(batch, group_reports):
-                    reports[i] = report
-            return reports
-        with self._pool_context().Pool(min(workers, len(batches))) as pool:
-            results = pool.map(
-                _execute_lockstep_group,
-                [[configs[i].to_dict() for i in batch]
-                 for batch in batches])
-        for batch, dicts in zip(batches, results):
-            for i, d in zip(batch, dicts):
-                reports[i] = RunReport(**d)
+        for unit, unit_reports in zip(units, results):
+            for i, report in zip(unit, unit_reports):
+                reports[i] = report
         return reports
+
+
+backend_registry.register("serial", LocalBackend("serial", max_workers=1))
+backend_registry.register("process-pool", LocalBackend("process-pool"))
+backend_registry.register("batched", LocalBackend("batched"))
+backend_registry.register("vectorized",
+                          LocalBackend("vectorized", lockstep=True))
 
 
 @register_backend("distributed")
@@ -288,15 +237,17 @@ class DistributedBackend(ExecutionBackend):
     workers lease lockstep-group batches and stream rows into
     per-worker stores, and the coordinator merges them back
     idempotently.  Every hot path is set-at-a-time SQL — one
-    ``executemany`` transaction per enqueue, a buffered per-lease row
-    flush, one ``ATTACH``-based ``INSERT … SELECT`` per worker-store
-    merge, WAL journals on both databases — so the fabric's own I/O
-    keeps up at 10^4–10^5 tasks (``BENCH_fleet.json``).  Unlike the
-    other backends this one is *resumable*:
-    kill the whole campaign at any point and re-running it completes
-    only the journal's unfinished tasks, byte-identical to a serial
-    pass (see :mod:`repro.campaign.fabric` and
-    ``tests/test_fabric_faults.py``).
+    ``executemany`` transaction per enqueue, one row flush per lease,
+    one ``ATTACH``-based ``INSERT … SELECT`` per worker-store merge,
+    WAL journals on both databases — so the fabric's own I/O keeps up
+    at 10^4–10^5 tasks (``BENCH_fleet.json``).  Unlike the local
+    engine this backend is *resumable*: kill the whole campaign at any
+    point and re-running it completes only the journal's unfinished
+    tasks, byte-identical to a serial pass (see
+    :mod:`repro.campaign.fabric` and ``tests/test_fabric_faults.py``).
+    Without a ``cache_dir`` or ``REPRO_QUEUE_DIR`` the queue lives in a
+    temporary directory that is removed once the reports are
+    collected: nothing could resume from it.
     """
 
     name = "distributed"
@@ -313,14 +264,14 @@ class DistributedBackend(ExecutionBackend):
         if not configs:
             return []
         env_dir = os.environ.get("REPRO_QUEUE_DIR")
+        scratch_dir = None
         if env_dir:
             queue_dir = Path(env_dir)
         elif context is not None and context.cache_dir is not None:
             queue_dir = Path(context.cache_dir) / "queue"
         else:
-            # No durable home: the journal still makes the run itself
-            # crash-consistent, it just won't survive into a resume.
-            queue_dir = Path(tempfile.mkdtemp(prefix="repro-queue-"))
+            queue_dir = scratch_dir = Path(
+                tempfile.mkdtemp(prefix="repro-queue-"))
         campaign = context.campaign if context is not None else "adhoc"
         coordinator = Coordinator(queue_dir)
         try:
@@ -329,3 +280,5 @@ class DistributedBackend(ExecutionBackend):
             return collect_reports(coordinator, configs)
         finally:
             coordinator.close()
+            if scratch_dir is not None:
+                shutil.rmtree(scratch_dir, ignore_errors=True)

@@ -13,12 +13,14 @@ per-run :class:`~repro.metrics.report.RunReport` into a
   queryable :class:`~repro.campaign.store.ResultStore`
   (``results.sqlite``), so re-running a sweep only simulates the
   configurations that changed — across processes and sessions;
-* legacy per-run JSON manifests in ``cache_dir`` are read as a
-  fallback (and migrated into the store); corrupt manifests count as
-  cache misses, never errors;
-* the execution strategy is a ``backend`` name (``serial``,
-  ``process-pool``, ``batched``, or anything registered in
-  :data:`~repro.campaign.backends.backend_registry`).
+* the execution strategy is a ``backend`` name: ``serial``,
+  ``process-pool``, ``batched`` and ``vectorized`` all select the one
+  local engine, ``distributed`` the resumable fabric, and anything
+  else registered in :data:`~repro.campaign.backends.backend_registry`
+  plugs in beside them.
+
+Legacy per-run JSON manifests are not read here: ``repro results
+import DIR`` migrates a directory of them into the store once.
 
 Runs are deterministic, so every backend produces byte-identical
 reports — ``backend`` and ``workers`` are purely throughput knobs.
@@ -33,7 +35,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.campaign.backends import ExecutionContext, make_backend
-from repro.campaign.store import ResultStore, load_manifest
+from repro.campaign.store import ResultStore
 from repro.metrics.report import RunReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -127,8 +129,7 @@ class CampaignRunner:
         :class:`~repro.campaign.store.ResultStore`
         (``results.sqlite``).  Serves as a cross-process,
         cross-session cache and as the campaign's queryable result
-        artifact.  Legacy per-run ``<config_hash>.json`` manifests in
-        the directory are honoured and migrated into the store.
+        artifact.
     backend:
         Execution backend name (default ``process-pool``, which
         degrades to in-process serial execution when ``workers`` is 1).
@@ -262,23 +263,7 @@ class CampaignRunner:
             report = self.store.get(key)
             if report is not None:
                 self._memory[key] = report
-                return report
-        if self.cache_dir is not None:
-            # Legacy per-run manifest fallback: parse tolerantly (a
-            # corrupt/truncated file is a miss) and migrate hits into
-            # the store so the next lookup is one SQL query.
-            path = self.cache_dir / f"{key}.json"
-            if path.is_file():
-                parsed = load_manifest(path)
-                if parsed is None:
-                    return None
-                _, config_dict, report = parsed
-                if self.store is not None:
-                    self.store.put(key, config_dict, report,
-                                   campaign="imported")
-                self._memory[key] = report
-                return report
-        return None
+        return report
 
     def _store(self, key: str, config: ExperimentConfig,
                report: RunReport, campaign: str = "adhoc") -> None:

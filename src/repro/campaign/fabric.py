@@ -25,11 +25,12 @@ resume without recomputation:
   :func:`~repro.campaign.backends.lockstep_group_key`, run them
   through an ordinary in-process
   :class:`~repro.campaign.backends.ExecutionBackend` (``serial`` or
-  ``vectorized``), persist each row to the worker's own result store
-  (``results-<worker>.sqlite``), then mark the task done.  Rows are
-  written *before* the task is marked done, so a crash in between
-  re-runs the task and the duplicate row is absorbed by the
-  idempotent :meth:`~repro.campaign.store.ResultStore.merge_from`.
+  ``vectorized``), flush the batch's rows to the worker's own result
+  store (``results-<worker>.sqlite``) in one transaction, then mark
+  the batch done in one more.  Rows are written *before* their tasks
+  are marked done, so a crash in between re-runs the batch and the
+  duplicate rows are absorbed by the idempotent
+  :meth:`~repro.campaign.store.ResultStore.merge_from`.
 * :class:`Coordinator` — owns the queue: enqueues campaigns
   (idempotently — resubmitting a campaign repairs torn rows and skips
   completed ones), spawns and respawns local worker processes, reaps
@@ -43,16 +44,20 @@ fault-injection suite (``tests/test_fabric_faults.py``) kills workers
 and coordinators at arbitrary points and asserts precisely that.
 
 Fault-injection hooks (used by tests and the ``distributed-smoke`` CI
-job):
+job) fire at the batch boundaries of the one write path every worker
+runs, so the fault suite exercises exactly what production does:
 
 * ``REPRO_FABRIC_KILL_AFTER=<n>`` — a worker SIGKILLs itself right
-  after persisting its *n*-th result row but *before* marking the task
-  done (the nastiest crash point: the row exists, the lease does not
-  know).  The fault fires exactly once per queue, recorded in the
-  journal's ``faults`` table, so respawned workers make progress.
+  after the flush that persists its *n*-th result row but *before*
+  marking that batch done (the nastiest crash point: the rows exist,
+  the leases do not know).  The fault fires exactly once per queue,
+  recorded in the journal's ``faults`` table, so respawned workers
+  make progress.
 * :func:`run_worker`'s ``fault_hook`` — an in-process callback invoked
-  at every stage (``leased`` / ``computed`` / ``stored`` / ``done``);
-  raising from it simulates a crash at that exact point.
+  once per task at every batch boundary: ``leased`` (after the lease),
+  ``computed`` (after the batch ran, before its rows flush),
+  ``stored`` (after the flush, before the batch is marked done) and
+  ``done`` (after it is); raising from it simulates a crash there.
 
 Environment knobs (all optional): ``REPRO_QUEUE_DIR`` pins the queue
 directory of the ``distributed`` backend, ``REPRO_FABRIC_LEASE_S`` and
@@ -75,6 +80,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
+from repro.campaign.backends import (import_scenarios, lockstep_group_key,
+                                     make_backend, pool_context)
 from repro.campaign.store import ResultStore, StoreError
 from repro.metrics.report import RunReport
 
@@ -291,9 +298,8 @@ class CampaignQueue:
         hashes, one optimistic ``executemany`` insert, and one
         ``executemany`` repair pass over the damaged subset — instead
         of a statement (plus a conflict probe) per config.  The
-        journal image is byte-identical to the per-row reference
-        (:meth:`_enqueue_per_row`, kept for parity tests and as the
-        benchmark baseline).
+        journal image is byte-identical to a per-row reference
+        (``tests/test_fleet_io.py`` keeps one as its parity oracle).
         """
         rows = self._task_rows(configs, campaign, now)
         if not rows:
@@ -340,10 +346,9 @@ class CampaignQueue:
 
         Each row is ``(config_hash, campaign, config_json, group_key,
         enqueued_at)``; duplicate hashes within one submission collapse
-        to their first occurrence, exactly as the per-row path's
+        to their first occurrence, exactly as a per-row
         INSERT OR IGNORE treats them.
         """
-        from repro.campaign.backends import lockstep_group_key
         now = time.time() if now is None else now
         rows: List[Tuple] = []
         seen = set()
@@ -356,48 +361,6 @@ class CampaignQueue:
                          json.dumps(config.to_dict(), sort_keys=True),
                          json.dumps(lockstep_group_key(config)), now))
         return rows
-
-    def _enqueue_per_row(self, configs: Iterable["ExperimentConfig"],
-                         campaign: str = "adhoc",
-                         now: Optional[float] = None) -> int:
-        """Per-row reference enqueue (one statement per config).
-
-        The pre-batching implementation, kept verbatim as the parity
-        oracle (``tests/test_fleet_io.py`` asserts byte-identical
-        journal images) and as the ``BENCH_fleet.json`` baseline.
-        """
-        from repro.campaign.backends import lockstep_group_key
-        now = time.time() if now is None else now
-        new = 0
-        for config in configs:
-            key = config.config_hash()
-            group = json.dumps(lockstep_group_key(config))
-            payload = json.dumps(config.to_dict(), sort_keys=True)
-            cursor = self._conn.execute(
-                "INSERT OR IGNORE INTO tasks "
-                "(config_hash, campaign, config, group_key, "
-                "enqueued_at) VALUES (?, ?, ?, ?, ?)",
-                (key, campaign, payload, group, now))
-            if cursor.rowcount:
-                new += 1
-                continue
-            row = self._conn.execute(
-                "SELECT state, config FROM tasks WHERE config_hash = ?",
-                (key,)).fetchone()
-            if row["state"] == "torn" or _parse_config(row["config"]) \
-                    is None:
-                # Torn write repair: overwrite the damaged row with a
-                # fresh pending task built from the submitted config.
-                self._conn.execute(
-                    "UPDATE tasks SET campaign = ?, config = ?, "
-                    "group_key = ?, state = 'pending', attempts = 0, "
-                    "lease_id = NULL, lease_expires = NULL, "
-                    "not_before = 0, last_error = NULL, "
-                    "enqueued_at = ? WHERE config_hash = ?",
-                    (campaign, payload, group, now, key))
-                new += 1
-        self._conn.commit()
-        return new
 
     # ------------------------------------------------------------------
     # leasing
@@ -509,21 +472,15 @@ class CampaignQueue:
     # ------------------------------------------------------------------
     def complete(self, config_hash: str, worker_id: str) -> bool:
         """Mark a leased task done (no-op if the lease was lost)."""
-        cursor = self._conn.execute(
-            "UPDATE tasks SET state = 'done', lease_id = NULL, "
-            "lease_expires = NULL, last_error = NULL "
-            "WHERE config_hash = ? AND lease_id = ? AND "
-            "state = 'leased'", (config_hash, worker_id))
-        self._conn.commit()
-        return bool(cursor.rowcount)
+        return bool(self.complete_many([config_hash], worker_id))
 
     def complete_many(self, config_hashes: Iterable[str],
                       worker_id: str) -> int:
         """Mark a whole lease batch done in one transaction.
 
-        Each row keeps :meth:`complete`'s guard — only tasks still
-        leased by ``worker_id`` transition — so lost leases are
-        skipped, not clobbered.  Returns how many tasks were marked.
+        Only tasks still leased by ``worker_id`` transition, so lost
+        leases are skipped, not clobbered.  Returns how many tasks
+        were marked.
         """
         before = self._conn.total_changes
         self._conn.executemany(
@@ -676,23 +633,23 @@ def run_worker(queue_dir, worker_id: Optional[str] = None,
 
     Each batch shares a lockstep group key, so ``backend`` may be any
     in-process backend — ``serial`` or ``vectorized`` (one
-    ``advance_batch`` per sensor epoch across the whole lease).  Rows
-    are persisted to this worker's own store *before* the task is
-    marked done; the coordinator's idempotent merge absorbs the
-    duplicate row a crash between the two writes produces.  Returns
-    the number of tasks completed.
-
-    Store and queue writes are batched per lease: the whole batch's
-    rows flush through one :class:`~repro.campaign.store.BufferedWriter`
-    transaction, then one :meth:`CampaignQueue.complete_many` marks
-    the batch done — same write ordering, two commits per lease
-    instead of two per task.  With a ``fault_hook`` (or an armed
-    ``REPRO_FABRIC_KILL_AFTER``) the loop drops to the per-task
-    reference path, whose write boundaries are exactly the crash
-    points the fault suite injects at.
+    ``advance_batch`` per sensor epoch across the whole lease).  Per
+    lease there is one write path: run the batch, flush its rows to
+    this worker's own store through one
+    :class:`~repro.campaign.store.BufferedWriter`, then mark the batch
+    done with one :meth:`CampaignQueue.complete_many`.  Rows land
+    strictly before any task is marked done; the coordinator's
+    idempotent merge absorbs the duplicate rows a crash between the
+    two commits produces.  ``fault_hook`` and
+    ``REPRO_FABRIC_KILL_AFTER`` fire at those boundaries (see the
+    module docstring).  Returns the number of tasks completed.
     """
-    from repro.campaign.backends import make_backend
     from repro.experiments.config import ExperimentConfig
+
+    def fire(stage: str, batch: List[QueueTask]) -> None:
+        if fault_hook is not None:
+            for task in batch:
+                fault_hook(stage, task)
 
     worker_id = worker_id or f"w{os.getpid()}"
     backend = backend or os.environ.get(
@@ -710,9 +667,7 @@ def run_worker(queue_dir, worker_id: Optional[str] = None,
                     break
                 time.sleep(poll_s)
                 continue
-            if fault_hook is not None:
-                for task in tasks:
-                    fault_hook("leased", task)
+            fire("leased", tasks)
             parsed = []
             for task in tasks:
                 # An unresolvable config (scenario registered only in
@@ -735,36 +690,20 @@ def run_worker(queue_dir, worker_id: Optional[str] = None,
                 for task, _ in parsed:
                     queue.fail(task.config_hash, worker_id, repr(error))
                 continue
-            if fault_hook is None and not kill_after:
-                # Fast path: flush the whole batch's rows in one
-                # store transaction, then complete the batch in one
-                # queue transaction — rows still land strictly before
-                # any task is marked done, so a SIGKILL between the
-                # two commits re-runs tasks whose duplicate rows the
-                # idempotent merge absorbs, exactly as per-task.
-                with store.buffered() as writer:
-                    for (task, config), report in zip(parsed, reports):
-                        writer.put(task.config_hash, config.to_dict(),
-                                   report, campaign=task.campaign)
-                        stored += 1
-                completed += queue.complete_many(
-                    [task.config_hash for task, _ in parsed], worker_id)
-            else:
+            batch = [task for task, _ in parsed]
+            fire("computed", batch)
+            with store.buffered() as writer:
                 for (task, config), report in zip(parsed, reports):
-                    if fault_hook is not None:
-                        fault_hook("computed", task)
-                    store.put(task.config_hash, config.to_dict(),
-                              report, campaign=task.campaign)
-                    stored += 1
-                    if fault_hook is not None:
-                        fault_hook("stored", task)
-                    if kill_after and stored >= kill_after and \
-                            queue.claim_fault(f"kill-after-{kill_after}"):
-                        os.kill(os.getpid(), signal.SIGKILL)
-                    if queue.complete(task.config_hash, worker_id):
-                        completed += 1
-                    if fault_hook is not None:
-                        fault_hook("done", task)
+                    writer.put(task.config_hash, config.to_dict(),
+                               report, campaign=task.campaign)
+            stored += len(parsed)
+            fire("stored", batch)
+            if kill_after and stored >= kill_after and \
+                    queue.claim_fault(f"kill-after-{kill_after}"):
+                os.kill(os.getpid(), signal.SIGKILL)
+            completed += queue.complete_many(
+                [task.config_hash for task in batch], worker_id)
+            fire("done", batch)
             batches += 1
             if max_batches is not None and batches >= max_batches:
                 break
@@ -776,11 +715,7 @@ def run_worker(queue_dir, worker_id: Optional[str] = None,
 
 def _worker_entry(queue_dir: str, backend: str) -> None:
     """Subprocess entry point for coordinator-spawned workers."""
-    # Under spawn/forkserver the registries are re-imported from
-    # scratch; pull in the in-repo modules that register extra
-    # scenarios so journaled configs validate (mirrors the execution
-    # backends' worker entry points).
-    from repro.experiments import ablation, figure1  # noqa: F401
+    import_scenarios()
     run_worker(queue_dir, backend=backend)
 
 
@@ -820,10 +755,7 @@ class Coordinator:
 
     def spawn_worker(self) -> multiprocessing.process.BaseProcess:
         """Start one worker process against this queue."""
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None)
-        process = context.Process(
+        process = pool_context().Process(
             target=_worker_entry,
             args=(str(self.queue_dir), self.worker_backend),
             daemon=False)

@@ -156,8 +156,3 @@ def _fire_epoch(suts: List[SystemUnderTest], t_min: float) -> None:
     for k, sut in enumerate(suts):
         sut.sensors.inject_advance(advanced[:, k].copy())
         sut.sim.step()
-
-
-def lockstep_timing_key(config: ExperimentConfig) -> tuple:
-    """Timing fields that must match for simulators to share epochs."""
-    return (config.sensor_period_s, config.warmup_s, config.measure_s)

@@ -159,21 +159,6 @@ class TestCampaignRunner:
         assert second.runs[0].report.to_json() == \
             first.runs[0].report.to_json()
 
-    def test_legacy_json_manifest_served_and_migrated(self, tmp_path):
-        """Pre-store caches (one JSON manifest per run) keep working:
-        the manifest is honoured as a hit and copied into the store."""
-        cfg = ExperimentConfig(policy="energy", **SHORT)
-        report = run_experiment(cfg).report
-        key = cfg.config_hash()
-        (tmp_path / f"{key}.json").write_text(json.dumps(
-            {"config_hash": key, "config": cfg.to_dict(),
-             "report": report.to_dict()}))
-        runner = CampaignRunner(cache_dir=str(tmp_path))
-        result = runner.run([cfg])
-        assert result.runs[0].cached is True
-        assert result.runs[0].report.to_json() == report.to_json()
-        assert runner.store.get(key) is not None     # migrated
-
     def test_cached_hits_recorded_under_new_campaign_name(self, tmp_path):
         """A campaign served entirely from cache must still appear in
         the store under its own name — rows are keyed by
@@ -186,16 +171,6 @@ class TestCampaignRunner:
         campaigns = dict(runner.store.campaigns())
         assert campaigns == {"first": 1, "second": 1}
         assert len(runner.store.runs(campaign="second")) == 1
-
-    def test_corrupt_manifest_is_cache_miss(self, tmp_path):
-        """A truncated/corrupt legacy manifest must re-simulate, not
-        crash the campaign."""
-        cfg = ExperimentConfig(policy="energy", **SHORT)
-        key = cfg.config_hash()
-        (tmp_path / f"{key}.json").write_text('{"config_hash": "trunc')
-        result = CampaignRunner(cache_dir=str(tmp_path)).run([cfg])
-        assert result.runs[0].cached is False
-        assert result.runs[0].report.frames_played > 0
 
     def test_run_one_uses_cache(self):
         runner = CampaignRunner()
@@ -343,12 +318,57 @@ class TestExecutionBackends:
                 sizes.append(processes)
                 return self._ctx.Pool(processes)
 
-        real = backends_mod.ExecutionBackend._pool_context
-        monkeypatch.setattr(
-            backends_mod.ExecutionBackend, "_pool_context",
-            staticmethod(lambda: SpyContext(real())))
+        real = backends_mod.pool_context
+        monkeypatch.setattr(backends_mod, "pool_context",
+                            lambda: SpyContext(real()))
         backends_mod.make_backend("vectorized").execute(configs, workers=8)
         assert sizes == [2]   # two groups, not eight workers
+
+    def test_each_name_pins_its_schedule(self, monkeypatch):
+        """The four local names are one engine; each keeps the
+        schedule its name promises, observed through the pool it
+        opens (or does not)."""
+        from repro.campaign import backends as backends_mod
+        sizes = []
+        real = backends_mod.pool_context
+
+        class SpyContext:
+            def Pool(self, processes):
+                sizes.append(processes)
+                return real().Pool(processes)
+
+        monkeypatch.setattr(backends_mod, "pool_context", SpyContext)
+        base = ExperimentConfig(**SHORT)
+        one_group = sweep(base, policy=("energy", "migra"),
+                          threshold_c=(1.0, 2.0))
+        assert len({lockstep_group_key(c) for c in one_group}) == 1
+        local = ("serial", "process-pool", "batched", "vectorized")
+        assert {type(backends_mod.make_backend(name)).__name__
+                for name in local} == {"LocalBackend"}
+
+        def opened(name, configs, workers):
+            sizes.clear()
+            backends_mod.make_backend(name).execute(configs, workers)
+            return list(sizes)
+
+        assert opened("serial", one_group, workers=4) == []
+        assert opened("vectorized", one_group[:2], workers=2) == []
+        assert opened("process-pool", one_group, workers=2) == [2]
+        assert opened("batched", one_group, workers=2) == [2]
+
+    def test_scratch_queue_dir_is_removed(self, tmp_path, monkeypatch):
+        """Without a cache_dir the distributed backend journals into a
+        temporary directory nothing can resume from; it must not
+        outlive the run."""
+        import tempfile
+        monkeypatch.delenv("REPRO_QUEUE_DIR", raising=False)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        cfg = ExperimentConfig(policy="energy", **SHORT)
+        result = CampaignRunner(workers=1, backend="distributed").run(
+            [cfg], name="scratch")
+        assert result.runs[0].report.to_json() == \
+            run_experiment(cfg).report.to_json()
+        assert list(tmp_path.glob("repro-queue-*")) == []
 
 
 class TestIncrementalAnalysis:

@@ -10,7 +10,8 @@ serial pass, and no configuration is simulated more than
 The suite injects faults at three altitudes:
 
 * in-process, via :func:`run_worker`'s ``fault_hook`` (deterministic
-  crash points between every pair of journal/store writes);
+  crash points between every pair of journal/store writes of the one
+  batched write path every worker runs);
 * at the process level, SIGKILLing coordinator-spawned workers at
   randomized (seeded) instants while the supervisor respawns them;
 * at the campaign level, SIGKILLing an entire ``repro campaign
@@ -98,7 +99,8 @@ class TestWorkerCrashPoints:
     class _Crash(RuntimeError):
         pass
 
-    @pytest.mark.parametrize("stage", ["leased", "computed", "stored"])
+    @pytest.mark.parametrize("stage",
+                             ["leased", "computed", "stored", "done"])
     @pytest.mark.parametrize("crash_index", [0, 2])
     def test_resume_is_byte_identical(self, tmp_path, serial_reference,
                                       stage, crash_index):
@@ -134,9 +136,9 @@ class TestWorkerCrashPoints:
 
     def test_crash_between_store_and_done_duplicates_nothing(
             self, tmp_path, serial_reference):
-        """The nastiest point: the result row exists, the task is
-        still leased.  The retry recomputes it; the merge imports it
-        exactly once."""
+        """The nastiest point: the result rows exist, the tasks are
+        still leased.  The retry recomputes them; the merge imports
+        each exactly once."""
         queue_dir = tmp_path / "queue"
         queue = CampaignQueue(queue_dir, lease_timeout_s=0.0,
                               retries=3)
@@ -145,14 +147,17 @@ class TestWorkerCrashPoints:
 
         def hook(stage, task):
             if stage == "stored":
-                raise self._Crash("between store.put and complete")
+                raise self._Crash("between the row flush and complete")
 
         with pytest.raises(self._Crash):
             run_worker(queue_dir, worker_id="halfway", fault_hook=hook)
-        # The orphaned row is already in the crashed worker's store.
+        # The whole lease's rows are already in the crashed worker's
+        # store, and not one of its tasks is marked done.
         orphan = ResultStore(worker_store_path(queue_dir, "halfway"))
-        assert len(orphan) == 1
+        assert len(orphan) == len(_configs())
         orphan.close()
+        with CampaignQueue(queue_dir) as queue:
+            assert queue.counts()["done"] == 0
 
         _drive_to_completion(queue_dir)
         store = _merged_campaign_store(queue_dir, tmp_path)

@@ -22,7 +22,8 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import sweep
-from repro.campaign.fabric import CampaignQueue, run_worker
+from repro.campaign.backends import lockstep_group_key
+from repro.campaign.fabric import CampaignQueue, _parse_config, run_worker
 from repro.campaign.store import BufferedWriter, ResultStore
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.report import RunReport
@@ -52,6 +53,49 @@ _JOURNAL_COLUMNS = ("rowid", "config_hash", "campaign", "config",
                     "group_key", "state", "attempts", "lease_id",
                     "lease_expires", "not_before", "enqueued_at",
                     "last_error")
+
+
+def _enqueue_per_row(queue: CampaignQueue, configs, campaign="adhoc",
+                     now=None) -> int:
+    """Per-row reference enqueue: one statement (plus a conflict probe
+    and a torn-row repair) per config.
+
+    The pre-batching implementation of :meth:`CampaignQueue.enqueue`,
+    kept here as its parity oracle: the batched path must leave a
+    byte-identical journal image and return the same count.
+    """
+    import time
+    now = time.time() if now is None else now
+    new = 0
+    for config in configs:
+        key = config.config_hash()
+        group = json.dumps(lockstep_group_key(config))
+        payload = json.dumps(config.to_dict(), sort_keys=True)
+        cursor = queue._conn.execute(
+            "INSERT OR IGNORE INTO tasks "
+            "(config_hash, campaign, config, group_key, "
+            "enqueued_at) VALUES (?, ?, ?, ?, ?)",
+            (key, campaign, payload, group, now))
+        if cursor.rowcount:
+            new += 1
+            continue
+        row = queue._conn.execute(
+            "SELECT state, config FROM tasks WHERE config_hash = ?",
+            (key,)).fetchone()
+        if row["state"] == "torn" or _parse_config(row["config"]) \
+                is None:
+            # Torn write repair: overwrite the damaged row with a
+            # fresh pending task built from the submitted config.
+            queue._conn.execute(
+                "UPDATE tasks SET campaign = ?, config = ?, "
+                "group_key = ?, state = 'pending', attempts = 0, "
+                "lease_id = NULL, lease_expires = NULL, "
+                "not_before = 0, last_error = NULL, "
+                "enqueued_at = ? WHERE config_hash = ?",
+                (campaign, payload, group, now, key))
+            new += 1
+    queue._conn.commit()
+    return new
 
 
 def journal_image(queue: CampaignQueue) -> bytes:
@@ -229,8 +273,8 @@ class TestBatchedEnqueue:
         batched = CampaignQueue(tmp_path / "batched")
         loop = CampaignQueue(tmp_path / "loop")
         assert batched.enqueue(configs, campaign="fleet", now=100.0) \
-            == loop._enqueue_per_row(configs, campaign="fleet",
-                                     now=100.0) == len(configs)
+            == _enqueue_per_row(loop, configs, campaign="fleet",
+                                now=100.0) == len(configs)
         assert journal_image(batched) == journal_image(loop)
         batched.close()
         loop.close()
@@ -247,8 +291,8 @@ class TestBatchedEnqueue:
         batched, loop = queues
         assert batched.enqueue(configs, campaign="fleet",
                                now=200.0) == 4         # 3 new + 1 repair
-        assert loop._enqueue_per_row(configs, campaign="fleet",
-                                     now=200.0) == 4
+        assert _enqueue_per_row(loop, configs, campaign="fleet",
+                                now=200.0) == 4
         assert journal_image(batched) == journal_image(loop)
         for queue in queues:
             assert queue.counts()["torn"] == 0
@@ -260,8 +304,8 @@ class TestBatchedEnqueue:
         loop = CampaignQueue(tmp_path / "loop")
         doubled = configs + configs
         assert batched.enqueue(doubled, campaign="x", now=1.0) == 3
-        assert loop._enqueue_per_row(doubled, campaign="x",
-                                     now=1.0) == 3
+        assert _enqueue_per_row(loop, doubled, campaign="x",
+                                now=1.0) == 3
         assert journal_image(batched) == journal_image(loop)
         batched.close()
         loop.close()
@@ -492,8 +536,8 @@ class TestBatchedWorkerDrain:
         queue = CampaignQueue(queue_dir, lease_timeout_s=30.0)
         queue.enqueue(configs, campaign="fleet")
         queue.close()
-        # No fault hook, no kill switch: this exercises the buffered
-        # put_many + complete_many fast path.
+        # The worker's one write path: buffered put_many, then
+        # complete_many, per lease.
         completed = run_worker(queue_dir, worker_id="bulk")
         assert completed == len(configs)
 
