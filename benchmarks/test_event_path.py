@@ -1,7 +1,8 @@
 """Event-path throughput: coalesced slice engine vs legacy per-quantum.
 
-Two complementary measurements, written to the committed
-``BENCH_event_path.json``:
+Two complementary measurements, written as a JSON artifact to the
+path named by ``EVENT_PATH_JSON`` when that is set (CI names the
+committed ``BENCH_event_path.json``):
 
 * **micro** — a pure OS/scheduler stack (three pipelined tasks on
   three tiles, periodic source and sink, no thermal subsystem), where
@@ -25,7 +26,6 @@ import json
 import multiprocessing
 import os
 import time
-from pathlib import Path
 
 from repro.campaign import CampaignRunner, expand_campaign
 from repro.experiments.config import ExperimentConfig
@@ -36,9 +36,7 @@ from repro.platform.presets import CONF1_STREAMING, build_chip
 from repro.sim.kernel import Simulator
 from repro.sim.process import PeriodicProcess
 
-from conftest import emit
-
-_ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_event_path.json"
+from conftest import emit, write_artifact
 
 _WORKERS = max(2, min(4, multiprocessing.cpu_count()))
 
@@ -177,8 +175,7 @@ def test_event_path_artifact():
         "threshold_sweep": sweep_rows,
         "sweep_events_reduction": round(sweep_reduction, 3),
     }
-    _ARTIFACT.write_text(json.dumps(artifact, indent=2, sort_keys=True)
-                         + "\n")
+    written = write_artifact("EVENT_PATH_JSON", artifact)
 
     lines = [f"event path: micro speedup {micro_speedup:.2f}x "
              f"({micro['legacy']['events_executed']} -> "
@@ -190,7 +187,8 @@ def test_event_path_artifact():
                      f"{row['events_executed']:>9} events")
     lines.append(f"threshold-sweep events reduced "
                  f"{sweep_reduction:.2f}x with coalescing")
-    lines.append(f"artifact written to {_ARTIFACT.name}")
+    if written:
+        lines.append(f"artifact written to {written}")
     emit("\n".join(lines))
 
     # Deterministic: coalescing must collapse >= 5x of the kernel

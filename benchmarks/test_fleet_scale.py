@@ -1,8 +1,10 @@
 """Fleet-scale store & queue I/O: batched hot paths vs per-row calls.
 
-Writes the committed ``BENCH_fleet.json``: throughput of the four
-persistence hot paths at 10^4–10^5 synthetic tasks (``FLEET_SCALE_N``,
-default 10^4), each against its honest per-row baseline —
+Throughput of the four persistence hot paths at 10^4–10^5 synthetic
+tasks (``FLEET_SCALE_N``, default 10^4), each against its honest
+per-row baseline, written as a JSON artifact to the path named by
+``FLEET_SCALE_JSON`` when that is set (CI names the committed
+``BENCH_fleet.json``) —
 
 * **enqueue** — one batched :meth:`CampaignQueue.enqueue` vs one
   enqueue call per config (the pre-batching usage pattern: every call
@@ -31,7 +33,6 @@ artifact separates what batching buys from what the journal mode buys.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import time
@@ -41,9 +42,7 @@ from repro.campaign.fabric import CampaignQueue
 from repro.campaign.store import ResultStore
 from repro.metrics.report import RunReport
 
-from conftest import emit
-
-_ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
+from conftest import emit, write_artifact
 
 _N = int(os.environ.get("FLEET_SCALE_N", "10000"))
 #: Cap on the per-row baseline sample: big enough for a stable rate,
@@ -300,8 +299,7 @@ def test_fleet_scale_artifact(tmp_path):
         "journal_mode": "wal",
         **{key: _round_rates(row) for key, row in results.items()},
     }
-    _ARTIFACT.write_text(json.dumps(artifact, indent=2, sort_keys=True)
-                         + "\n")
+    written = write_artifact("FLEET_SCALE_JSON", artifact)
 
     lines = [f"fleet scale @ {_N} tasks (per-row baselines sampled at "
              f"{min(_N, _BASELINE_ROWS)} rows):"]
@@ -317,7 +315,8 @@ def test_fleet_scale_artifact(tmp_path):
     lines.append(f"  drain    {drain['tasks_per_s']:>10.0f} tasks/s "
                  f"through {drain['workers']} workers "
                  f"(lease limit {drain['lease_limit']})")
-    lines.append(f"artifact written to {_ARTIFACT.name}")
+    if written:
+        lines.append(f"artifact written to {written}")
     emit("\n".join(lines))
 
     # Conservative floors (measured headroom is far larger, see the

@@ -19,8 +19,6 @@ uploads it).
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 import numpy as np
@@ -31,7 +29,7 @@ from repro.thermal.package import MOBILE_EMBEDDED
 from repro.thermal.rc_network import build_network
 from repro.thermal.solvers import make_solver
 
-from conftest import emit
+from conftest import emit, write_artifact
 
 #: Square tile counts: 4x4, 8x8, 16x16.
 GRID_TILES = (16, 64, 256)
@@ -118,11 +116,8 @@ def test_grid_scaling_dense_vs_sparse_vs_reduced():
             f"{r['max_err_c']:>12.2e}")
     emit("\n".join(lines))
 
-    artifact = os.environ.get("SOLVER_SCALING_JSON")
-    if artifact:
-        with open(artifact, "w") as handle:
-            json.dump({"steps": STEPS, "dt_s": DT, "rows": rows},
-                      handle, indent=2, sort_keys=True)
+    write_artifact("SOLVER_SCALING_JSON",
+                   {"steps": STEPS, "dt_s": DT, "rows": rows})
 
     # Acceptance: on the largest grid (16x16 >= 8x8) the sparse path is
     # exact to 1e-8 and at least 5x faster end-to-end than dense.

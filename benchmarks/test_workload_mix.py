@@ -14,14 +14,12 @@ timing table is also written as a JSON artifact (CI uploads it).
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 from repro.campaign import CampaignRunner
 from repro.experiments.config import ExperimentConfig
 
-from conftest import emit
+from conftest import emit, write_artifact
 
 #: Short phases: the benchmark measures engine + IR overhead scaling,
 #: not the paper's protocol.
@@ -68,11 +66,7 @@ def test_workload_mix_throughput():
          f"{'workload':<16}{'apps':>5}{'total':>11}{'per-app':>14}\n"
          + table)
 
-    artifact = os.environ.get("WORKLOAD_MIX_JSON")
-    if artifact:
-        with open(artifact, "w") as handle:
-            json.dump({"base": _BASE, "rows": rows}, handle, indent=2,
-                      sort_keys=True)
+    write_artifact("WORKLOAD_MIX_JSON", {"base": _BASE, "rows": rows})
 
     by_name = {row["workload"]: row for row in rows}
     sdr = by_name["sdr"]["elapsed_s"]

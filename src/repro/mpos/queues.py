@@ -77,14 +77,17 @@ class MsgQueue:
 
     def push(self, frame: Any) -> bool:
         """Append a frame; returns False (and counts it) when full."""
-        if self.is_full:
+        items = self._items
+        level = len(items)
+        if level >= self.capacity:
             self.full_pushes += 1
             return False
-        self._items.append(frame)
+        items.append(frame)
         self.total_pushed += 1
-        if self.level > self.max_level:
-            self.max_level = self.level
-        self._notify_consumers()
+        if level + 1 > self.max_level:
+            self.max_level = level + 1
+        if self.waiting_consumers:
+            self._notify_consumers()
         return True
 
     def pop(self) -> Optional[Any]:
@@ -94,7 +97,8 @@ class MsgQueue:
             return None
         frame = self._items.popleft()
         self.total_popped += 1
-        self._notify_producers()
+        if self.waiting_producers:
+            self._notify_producers()
         return frame
 
     def peek(self) -> Optional[Any]:
@@ -118,7 +122,8 @@ class MsgQueue:
             self.waiting_producers.remove(task)
 
     # ------------------------------------------------------------------
-    # internals
+    # internals — ``push``/``pop`` call these only when someone waits,
+    # so the common no-waiter case allocates no snapshot
     # ------------------------------------------------------------------
     def _notify_consumers(self) -> None:
         if self._wake_consumer is None:

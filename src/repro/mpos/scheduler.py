@@ -25,26 +25,38 @@ coalescing enabled (the default; see :func:`slice_coalescing_enabled`)
 the scheduler computes a **horizon** — the earlier of the first task
 completion and the next foreign event — and schedules ONE
 ``_end_coalesced`` event covering every virtual quantum boundary that
-falls *strictly* before it.  The window end replays the exact
-per-quantum accounting and hand-offs (``planned = min(quantum_s * f,
-remaining)``, sequential float subtraction — NOT a closed-form sum,
-float subtraction is non-associative — plus the requeue/dispatch
-rotation), so ``remaining_cycles``, ``total_cycles``, ``slices_run``,
+falls *strictly* before it.
+
+A window is **planned once and applied once**.  The planning walk
+(:meth:`CoreScheduler._begin_coalesced`) runs the exact per-quantum
+arithmetic (``planned = min(quantum_s * f, remaining)``, sequential
+float subtraction — NOT a closed-form sum, float subtraction is
+non-associative — over the round-robin rotation) and keeps its end
+state as the window's plan: every task's final ``remaining_cycles``
+and ``total_cycles`` and the last slice's start and pre-slice values.
+The window event writes the plan back, turns the rotation by the
+window's hand-offs and adds the counters in bulk, so
+``remaining_cycles``, ``total_cycles``, ``slices_run``,
 ``context_switches`` and the ``run_q`` order are bit-for-bit what
-per-quantum stepping produces.  Interruptions (gating, DVFS changes,
-task arrivals, detach) *unwind* the window first:
-:meth:`CoreScheduler._uncoalesce` replays the virtual boundaries up to
-``sim.now`` and re-materializes the legacy in-flight slice, after
-which the ordinary preemption/re-planning code runs unchanged.  The
-legacy per-quantum path stays selectable (``REPRO_SLICE_COALESCE=0``)
-as the differential-testing oracle.
+per-quantum stepping produces.
+
+Readers of live accounting (the statistics daemons, via
+:meth:`CoreScheduler.materialize`) *land* the boundaries before
+``sim.now`` in place (:meth:`CoreScheduler._co_land`): the window
+stays open, its plan and event unchanged.  Interruptions (gating, DVFS
+changes, task arrivals, detach) *unwind* the window:
+:meth:`CoreScheduler._uncoalesce` lands the boundaries, drops the
+window and re-materializes the legacy in-flight slice, after which the
+ordinary preemption/re-planning code runs unchanged.  The legacy
+per-quantum path stays selectable (``REPRO_SLICE_COALESCE=0``) as the
+differential-testing oracle.
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from typing import Callable, Deque, Optional, Tuple
 
 from repro.mpos.task import StreamTask, TaskPhase, TaskState
 from repro.platform.chip import Chip
@@ -83,12 +95,13 @@ SLICE_EVENT_CATEGORY = "slice"
 #:   and therefore unwind;
 #: * ``"daemon"`` — the per-core statistics ticks
 #:   (``repro.mpos.daemons``) read live ``total_cycles``, so they
-#:   call :meth:`CoreScheduler.materialize` before reading.
+#:   call :meth:`CoreScheduler.materialize` before reading, which
+#:   lands the window's past boundaries and leaves it open.
 #:
 #: All four periodic classes are rescheduled one full period (>> one
 #: quantum) ahead, so at an exact timestamp tie the legacy engine
-#: fires them *before* the slice event — the tie rules in
-#: :meth:`CoreScheduler._uncoalesce` and the window-end deferral in
+#: fires them *before* the slice event — the tie rule in
+#: :meth:`CoreScheduler._co_land` and the tie end in
 #: :meth:`CoreScheduler._end_coalesced` reproduce that order.
 #: Migration and load-modulation events — aperiodic, mutating tasks on
 #: their own clock — keep bounding the horizon.
@@ -153,6 +166,11 @@ class CoreScheduler:
         self._co_started = 0.0
         self._co_f_hz = 0.0
         self._co_slices = 0
+        # The window's outcome, computed once by ``_begin_coalesced``:
+        # (rotation tasks, their final remaining/total cycles, index of
+        # the last slice's task, that slice's start, pre-slice
+        # remaining/total and planned cycles).
+        self._co_plan: Optional[tuple] = None
 
         self.context_switches = 0
         self.slices_run = 0
@@ -277,15 +295,18 @@ class CoreScheduler:
     # external observation
     # ------------------------------------------------------------------
     def materialize(self) -> None:
-        """Replay any open coalesced window up to ``sim.now``.
+        """Land an open coalesced window's boundaries up to ``sim.now``.
 
         An open window defers per-quantum accounting to its window
         event, so external readers of live task state — the per-core
-        statistics daemons, differential tests — call this first to
-        land the deferred boundaries.  A no-op when no window is open
-        (including whenever coalescing is off).
+        statistics daemons, differential tests — call this first.  It
+        lands the boundaries in place (:meth:`_co_land`): the window
+        stays open, its event and plan unchanged, so a read costs no
+        cancelled event, no extra slice event and no re-plan.  A no-op
+        when no window is open (including whenever coalescing is off).
         """
-        self._uncoalesce()
+        if self._co_event is not None:
+            self._co_land()
 
     # ------------------------------------------------------------------
     # internals — iteration state machine
@@ -351,67 +372,85 @@ class CoreScheduler:
     # internals — coalesced slice engine
     # ------------------------------------------------------------------
     def _begin_coalesced(self, task: StreamTask) -> bool:
-        """Open a coalesced window, or return False to run per-quantum.
+        """Plan a coalesced window, or return False to run per-quantum.
 
-        Replays the virtual quantum boundaries ``t_k = t_{k-1} +
+        Walks the virtual quantum boundaries ``t_k = t_{k-1} +
         planned_k / f`` (the exact float arithmetic the legacy engine's
         ``schedule(planned / f)`` chain produces) over the round-robin
         rotation ``current, run_q[0], run_q[1], ...`` and counts how
         many fall *strictly* before the horizon — the next pending
         event outside :data:`HORIZON_TRANSPARENT_CATEGORIES`, or the
-        first task completion.  No event that could gate, re-clock,
-        reorder or *read* the rotation's accounting fires inside an
-        open window without unwinding it first.  Windows shorter than
-        two slices fall back to the legacy engine, which reproduces
-        the event/seq tie-ordering at the horizon boundary by
-        construction.
+        first task completion.  No event that could gate, re-clock or
+        reorder the rotation fires inside an open window without
+        unwinding it first, so the walk's end state *is* the window's
+        outcome: it is kept as the plan that :meth:`_end_coalesced`
+        applies (each task's final ``remaining_cycles`` and
+        ``total_cycles``, accumulated slice by slice in the legacy
+        per-task order, plus the last slice's start and pre-slice
+        values for the tie end).  Windows shorter than two slices fall
+        back to the legacy engine, which reproduces the event/seq
+        tie-ordering at the horizon boundary by construction.
         """
         f = self.frequency_hz
         horizon = self.sim.peek_time_excluding(
             category=HORIZON_TRANSPARENT_CATEGORIES)
         quantum_cycles = self.quantum_s * f
-        rotation = [task.remaining_cycles]
-        rotation.extend(t.remaining_cycles for t in self.run_q)
+        tasks = [task]
+        tasks.extend(self.run_q)
+        remaining = [t.remaining_cycles for t in tasks]
+        total = [t.total_cycles for t in tasks]
+        n_tasks = len(tasks)
         end = self.sim.now
         n_slices = 0
-        i = 0
+        i = last = 0
+        last_start = last_remaining = last_total = last_planned = 0.0
         while True:
-            planned = min(quantum_cycles, max(rotation[i], 0.0))
+            r = remaining[i]
+            # ``min(quantum_cycles, max(r, 0.0))`` with the builtins'
+            # comparison order (signed zero and NaN included).
+            if 0.0 > r:
+                r = 0.0
+            planned = r if r < quantum_cycles else quantum_cycles
             t_next = end + planned / f
             if horizon is not None and not (t_next < horizon):
                 break
             n_slices += 1
+            last = i
+            last_start = end
+            last_remaining = remaining[i]
+            last_total = total[i]
+            last_planned = planned
             end = t_next
-            rotation[i] -= planned
-            if rotation[i] <= CYCLE_EPS:
+            remaining[i] = last_remaining - planned
+            total[i] = last_total + planned
+            if remaining[i] <= CYCLE_EPS:
                 break              # completion boundary inside window
-            if len(rotation) > 1:  # quantum expired: round-robin
-                i = (i + 1) % len(rotation)
+            if n_tasks > 1:        # quantum expired: round-robin
+                i = (i + 1) % n_tasks
         if n_slices < 2:
             return False
         self._co_started = self.sim.now
         self._co_f_hz = f
         self._co_slices = n_slices
+        self._co_plan = (tasks, remaining, total, last, last_start,
+                         last_remaining, last_total, last_planned)
         self.chip.set_tile_active(self.tile_index, True)
         self._co_event = self.sim.schedule_at(end, self._end_coalesced)
         self._co_event.category = SLICE_EVENT_CATEGORY
         self.slices_run += 1       # slice 1 of the window began
         return True
 
-    def _co_advance(self) -> None:
-        """Replay one virtual quantum boundary.
+    def _co_advance(self, planned: float) -> None:
+        """Land one virtual quantum boundary of the running slice.
 
         The identical operation sequence the legacy ``_end_slice`` /
         ``_maybe_dispatch`` pair performs at a non-completing boundary:
-        account the running task's slice (``planned`` recomputed from
-        the *current* remaining cycles before the subtraction — float
-        subtraction is not associative, so no closed form), then the
-        round-robin hand-off when competitors wait.
+        account the running task's ``planned`` cycles (computed by the
+        caller from the *current* remaining cycles — float subtraction
+        is not associative, so no closed form), then the round-robin
+        hand-off when competitors wait.
         """
         task = self.current
-        assert task is not None
-        planned = min(self.quantum_s * self._co_f_hz,
-                      max(task.remaining_cycles, 0.0))
         task.remaining_cycles -= planned
         task.total_cycles += planned
         if self.run_q:
@@ -424,102 +463,27 @@ class CoreScheduler:
         self.slices_run += 1       # the next slice began here
         self.slices_coalesced += 1
 
-    def _end_coalesced(self) -> None:
-        """Apply a completed window: replay every covered quantum.
+    def _co_land(self) -> Tuple[float, float, float]:
+        """Land the open window's boundaries that precede ``sim.now``.
 
-        Boundaries ``1 .. m-1`` each ended one slice and began the
-        next (:meth:`_co_advance`); slice ``m`` is rematerialized as
-        the legacy in-flight slice and finished by ``_end_slice``,
-        which owns the completion / round-robin / continue logic and
-        whose ``_begin_slice`` call opens the next window.
-        """
-        assert self.current is not None
-        self._co_event = None
-        boundaries = self._co_slices - 1
-        now = self.sim.now
-        if self.sim.peek_time() == now:
-            # A pending event ties at the window end — a transparent
-            # periodic tick, rescheduled a full period (>> quantum)
-            # before ``now`` and hence carrying a lower seq than the
-            # slice event the legacy engine would have scheduled one
-            # quantum ago.  It must fire before the final slice does:
-            # rematerialize that slice as a fresh kernel event (fresh
-            # seq = after every tied event) instead of finishing
-            # inline, tracking the boundary times so the in-flight
-            # ``_slice_started`` is bitwise the legacy slice start.
-            f = self._co_f_hz
-            quantum_cycles = self.quantum_s * f
-            start = self._co_started
-            for _ in range(boundaries):
-                planned = min(quantum_cycles,
-                              max(self.current.remaining_cycles, 0.0))
-                start = start + planned / f
-                self._co_advance()
-            self._co_slices = 0
-            task = self.current
-            self._slice_started = start
-            self._slice_f_hz = f
-            self._slice_planned_cycles = min(
-                quantum_cycles, max(task.remaining_cycles, 0.0))
-            self.slices_coalesced += 1
-            self._slice_event = self.sim.schedule_at(now, self._end_slice)
-            self._slice_event.category = SLICE_EVENT_CATEGORY
-            return
-        if not self.run_q:
-            # Solo fast path: no hand-offs, so the replay is a pure
-            # accounting loop — local floats, counters added in bulk
-            # (the exact same operation sequence, nothing observes the
-            # intermediate states).
-            task = self.current
-            quantum_cycles = self.quantum_s * self._co_f_hz
-            remaining = task.remaining_cycles
-            total = task.total_cycles
-            for _ in range(boundaries):
-                planned = min(quantum_cycles, max(remaining, 0.0))
-                remaining -= planned
-                total += planned
-            task.remaining_cycles = remaining
-            task.total_cycles = total
-            self.slices_run += boundaries
-            self.slices_coalesced += boundaries
-        else:
-            for _ in range(boundaries):
-                self._co_advance()
-        self._co_slices = 0
-        task = self.current
-        f = self._co_f_hz
-        self._slice_started = now            # unused by _end_slice
-        self._slice_f_hz = f
-        self._slice_planned_cycles = min(self.quantum_s * f,
-                                         max(task.remaining_cycles, 0.0))
-        self.slices_coalesced += 1
-        self._end_slice()
-
-    def _uncoalesce(self) -> None:
-        """Unwind an open window at ``sim.now`` (an interruption).
-
-        Reconstructs the exact state the legacy engine would hold at
-        this point: every virtual boundary before ``now`` has fired,
-        the slice containing ``now`` is in flight with a real kernel
-        event at its natural boundary.  After this the ordinary
-        preemption / re-planning / round-robin code applies unchanged
-        — ``_charge_partial_slice`` charges the in-flight fraction
-        with its usual expression.
+        Afterwards the tasks, counters and rotation hold exactly the
+        state the legacy engine holds at this instant, and the window
+        starts at the slice containing ``now``: ``_co_started`` moves
+        to that slice's start and ``_co_slices`` drops by the landed
+        count.  The plan and the window event stay valid — the
+        remaining boundaries are the same arithmetic sequence from the
+        landed state.  Returns the in-flight slice as ``(start,
+        planned, end)``.
 
         A boundary *exactly at* ``now`` needs the legacy tie-order: it
-        has fired for external interrupts (``run_until`` executes
+        has fired for external observers (``run_until`` executes
         events with timestamp ``<= now``) and for slice-class
         interrupters (a waking producer's emission event is sequenced
         after the consumer boundary it ties with), but NOT for
-        periodic foreign events such as sensor ticks — those are
-        scheduled at least one full period early, hence carry a lower
-        seq than the boundary event and run first.
+        periodic foreign events such as sensor or daemon ticks — those
+        are scheduled at least one full period early, hence carry a
+        lower seq than the boundary event and run first.
         """
-        if self._co_event is None:
-            return
-        assert self.current is not None
-        self._co_event.cancel()
-        self._co_event = None
         now = self.sim.now
         f = self._co_f_hz
         quantum_cycles = self.quantum_s * f
@@ -527,21 +491,96 @@ class CoreScheduler:
         tie_fired = interrupter is None \
             or interrupter.category == SLICE_EVENT_CATEGORY
         start = self._co_started
-        replayed = 0
+        landable = self._co_slices - 1
+        landed = 0
         while True:
-            task = self.current
-            assert task is not None
-            planned = min(quantum_cycles, max(task.remaining_cycles, 0.0))
+            planned = min(quantum_cycles,
+                          max(self.current.remaining_cycles, 0.0))
             t_end = start + planned / f
             if t_end > now or (t_end == now and not tie_fired) \
-                    or replayed >= self._co_slices - 1:
+                    or landed >= landable:
                 break              # the slice containing ``now``
-            self._co_advance()
+            self._co_advance(planned)
             start = t_end
-            replayed += 1
+            landed += 1
+        self._co_started = start
+        self._co_slices -= landed
+        return start, planned, t_end
+
+    def _end_coalesced(self) -> None:
+        """Apply a completed window's plan in one step.
+
+        Writes each rotation task's planned ``remaining_cycles`` /
+        ``total_cycles``, turns the rotation by the window's ``m - 1``
+        hand-offs and adds the boundaries not yet landed by
+        :meth:`_co_land` to the counters in bulk.  Slice ``m`` has
+        then ended: :meth:`_after_slice` runs the completion /
+        round-robin / continue logic, whose ``_begin_slice`` call
+        plans the next window.
+
+        A pending event tying at the window end — a transparent
+        periodic tick, rescheduled a full period (>> quantum) before
+        ``now`` and hence carrying a lower seq than the slice event
+        the legacy engine would have scheduled one quantum ago — must
+        fire before slice ``m`` ends: the plan is applied with slice
+        ``m`` undone (its stored pre-slice values) and that slice is
+        rematerialized as a fresh kernel event (fresh seq = after
+        every tied event) at its stored start.
+        """
+        (tasks, remaining, total, last, start, last_remaining,
+         last_total, planned) = self._co_plan
+        self._co_event = None
+        self._co_plan = None
+        boundaries = self._co_slices - 1
+        self._co_slices = 0
+        for t, r, c in zip(tasks, remaining, total):
+            t.remaining_cycles = r
+            t.total_cycles = c
+        task = tasks[last]
+        if len(tasks) > 1:
+            run_q = self.run_q
+            run_q.clear()
+            run_q.extend(tasks[last + 1:])
+            run_q.extend(tasks[:last])
+            for t in run_q:
+                t.state = TaskState.READY
+            task.state = TaskState.RUNNING
+            self.current = task
+            self.context_switches += boundaries
+        self.slices_run += boundaries
+        self.slices_coalesced += boundaries + 1
+        now = self.sim.now
+        if self.sim.peek_time() == now:
+            task.remaining_cycles = last_remaining
+            task.total_cycles = last_total
+            self._slice_started = start
+            self._slice_f_hz = self._co_f_hz
+            self._slice_planned_cycles = planned
+            self._slice_event = self.sim.schedule_at(now, self._end_slice)
+            self._slice_event.category = SLICE_EVENT_CATEGORY
+            return
+        self._after_slice(task)
+
+    def _uncoalesce(self) -> None:
+        """Unwind an open window at ``sim.now`` (an interruption).
+
+        Lands the boundaries before ``now`` (:meth:`_co_land`), drops
+        the window and its plan, and gives the slice containing
+        ``now`` a real kernel event at its natural boundary — the
+        exact state the legacy engine holds at this point.  After this
+        the ordinary preemption / re-planning / round-robin code
+        applies unchanged; ``_charge_partial_slice`` charges the
+        in-flight fraction with its usual expression.
+        """
+        if self._co_event is None:
+            return
+        start, planned, t_end = self._co_land()
+        self._co_event.cancel()
+        self._co_event = None
+        self._co_plan = None
         self._co_slices = 0
         self._slice_started = start
-        self._slice_f_hz = f
+        self._slice_f_hz = self._co_f_hz
         self._slice_planned_cycles = planned
         self._slice_event = self.sim.schedule_at(t_end, self._end_slice)
         self._slice_event.category = SLICE_EVENT_CATEGORY
@@ -552,7 +591,11 @@ class CoreScheduler:
         self._slice_event = None
         task.remaining_cycles -= self._slice_planned_cycles
         task.total_cycles += self._slice_planned_cycles
+        self._after_slice(task)
 
+    def _after_slice(self, task: StreamTask) -> None:
+        """The running slice has been accounted: complete, rotate or
+        continue."""
         if task.remaining_cycles <= CYCLE_EPS:
             self.current = None
             self._complete_compute(task)

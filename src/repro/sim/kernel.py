@@ -5,6 +5,10 @@ callbacks are scheduled at absolute simulated times (seconds, floats) and
 executed in non-decreasing time order.  Ties are broken by scheduling
 order, which keeps runs deterministic without relying on callback identity.
 
+The heap holds ``(time, seq, event)`` entries, so ``heapq`` orders them
+by comparing a float and then an int, both in C; ``seq`` is unique, so
+the :class:`Event` itself is never compared.
+
 Example
 -------
 >>> sim = Simulator()
@@ -21,7 +25,7 @@ Example
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -66,6 +70,9 @@ class Event:
             self._sim = None
 
     def __lt__(self, other: "Event") -> bool:
+        # The kernel's heap orders ``(time, seq, event)`` tuples and
+        # never calls this; it keeps ``Event``s sortable by the same
+        # (time, scheduling order) rule for code holding them.
         if self.time != other.time:
             return self.time < other.time
         return self.seq < other.seq
@@ -87,7 +94,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self.now: float = float(start_time)
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._live = 0
         self._running = False
@@ -115,10 +122,12 @@ class Simulator:
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} < now={self.now}")
-        event = Event(float(time), self._seq, callback, args, sim=self)
-        self._seq += 1
+        time = float(time)
+        seq = self._seq
+        event = Event(time, seq, callback, args, sim=self)
+        self._seq = seq + 1
         self._live += 1
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def cancel(self, event: Optional[Event]) -> None:
@@ -158,7 +167,7 @@ class Simulator:
         self._drop_cancelled()
         if not self._queue:
             return None
-        return self._queue[0].time
+        return self._queue[0][0]
 
     def peek_event(self) -> Optional[Event]:
         """The next live event itself, or ``None`` if the queue is empty.
@@ -169,7 +178,7 @@ class Simulator:
         simulators can be batched at that point.
         """
         self._drop_cancelled()
-        return self._queue[0] if self._queue else None
+        return self._queue[0][2] if self._queue else None
 
     def peek_time_excluding(self, event: Optional[Event] = None,
                             category: Optional[Any] = None,
@@ -190,22 +199,22 @@ class Simulator:
             return None
         if category is None:
             head = self._queue[0]
-            if head is not event:
-                return head.time
+            if head[2] is not event:
+                return head[0]
             # The excluded event is the head: look one live event past.
             heapq.heappop(self._queue)
             self._drop_cancelled()
-            time = self._queue[0].time if self._queue else None
+            time = self._queue[0][0] if self._queue else None
             heapq.heappush(self._queue, head)
             return time
         excluded = (category,) if isinstance(category, str) else category
         best: Optional[float] = None
-        for queued in self._queue:
+        for time, _, queued in self._queue:
             if queued.cancelled or queued is event \
                     or queued.category in excluded:
                 continue
-            if best is None or queued.time < best:
-                best = queued.time
+            if best is None or time < best:
+                best = time
         return best
 
     def step(self) -> bool:
@@ -213,7 +222,7 @@ class Simulator:
         self._drop_cancelled()
         if not self._queue:
             return False
-        self._execute(heapq.heappop(self._queue))
+        self._execute(heapq.heappop(self._queue)[2])
         return True
 
     def run(self, max_events: Optional[int] = None) -> None:
@@ -248,9 +257,9 @@ class Simulator:
                 # is the event executed, instead of peek_time()/step()
                 # each independently dropping cancelled heads.
                 self._drop_cancelled()
-                if not self._queue or self._queue[0].time > time:
+                if not self._queue or self._queue[0][0] > time:
                     break
-                self._execute(heapq.heappop(self._queue))
+                self._execute(heapq.heappop(self._queue)[2])
             self.now = max(self.now, float(time))
         finally:
             self._running = False
@@ -269,7 +278,7 @@ class Simulator:
         self._running = True
 
     def _drop_cancelled(self) -> None:
-        while self._queue and self._queue[0].cancelled:
+        while self._queue and self._queue[0][2].cancelled:
             heapq.heappop(self._queue)
 
     def _execute(self, event: Event) -> None:

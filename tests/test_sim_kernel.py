@@ -278,7 +278,7 @@ class TestPendingEventsCounter:
             if cancel:
                 ev.cancel()
         sim.run_until(horizon)
-        scan = sum(1 for e in sim._queue if not e.cancelled)
+        scan = sum(1 for *_, e in sim._queue if not e.cancelled)
         assert sim.pending_events == scan
 
 
@@ -550,3 +550,90 @@ class TestRunUntilHeapDiscipline:
         # one executing iteration + the final break check, regardless
         # of the cancelled head in front.
         assert sim.drop_calls == 2
+
+
+class TestTupleHeap:
+    """The heap holds ``(time, seq, event)`` entries; the public API
+    still deals in :class:`Event` objects and the tie order is the
+    scheduling order."""
+
+    def test_equal_time_events_fire_in_scheduling_order(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(2.0, lambda: fired.append("late"))
+        for tag in range(6):
+            sim.schedule_at(1.0, lambda t=tag: fired.append(t))
+        sim.schedule(0.5, lambda: fired.append("early"))
+        sim.run()
+        assert fired == ["early", 0, 1, 2, 3, 4, 5, "late"]
+
+    def test_equal_time_scheduled_from_callback_fires_after(self):
+        sim = Simulator()
+        fired = []
+
+        def first():
+            fired.append("first")
+            sim.schedule(0.0, lambda: fired.append("nested"))
+
+        sim.schedule_at(1.0, first)
+        sim.schedule_at(1.0, lambda: fired.append("second"))
+        sim.run()
+        assert fired == ["first", "second", "nested"]
+
+    def test_peek_event_returns_the_event(self):
+        sim = Simulator()
+        later = sim.schedule(2.0, lambda: None)
+        head = sim.schedule(1.0, lambda: None)
+        assert sim.peek_event() is head
+        head.cancel()
+        assert sim.peek_event() is later
+        later.cancel()
+        assert sim.peek_event() is None
+
+    def test_cancelled_head_skipped_by_peek_time(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None).cancel()
+        sim.schedule(2.0, lambda: None)
+        assert sim.peek_time() == 2.0
+
+    def test_cancelled_head_skipped_by_step(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("doomed")).cancel()
+        sim.schedule(2.0, lambda: fired.append("live"))
+        assert sim.step() is True
+        assert fired == ["live"]
+        assert sim.now == 2.0
+        assert sim.step() is False
+
+    def test_cancelled_head_skipped_by_run_until(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("doomed")).cancel()
+        sim.schedule(2.0, lambda: fired.append("live"))
+        sim.schedule(4.0, lambda: fired.append("later"))
+        sim.run_until(3.0)
+        assert fired == ["live"]
+        assert sim.now == 3.0
+        assert sim.pending_events == 1
+
+    def test_peek_time_excluding_head_looks_one_live_event_past(self):
+        sim = Simulator()
+        head = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None).cancel()
+        sim.schedule(3.0, lambda: None)
+        assert sim.peek_time_excluding(event=head) == 3.0
+        # The head is back in place and still fires first.
+        assert sim.peek_event() is head
+
+    def test_events_are_never_compared(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("heap compared two Events")
+
+        monkeypatch.setattr(Event, "__lt__", refuse)
+        sim = Simulator()
+        fired = []
+        for tag in range(8):
+            sim.schedule_at(1.0, lambda t=tag: fired.append(t))
+        sim.run()
+        assert fired == list(range(8))

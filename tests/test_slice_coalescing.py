@@ -8,32 +8,49 @@ per engine — through identical operation sequences (time advances,
 frame pushes, gating, DVFS changes) and compare exhaustively after
 every step; a hypothesis search generates the sequences.
 
-Observation forces materialization: an open window's boundary replay
-is deferred to the window event, so the coalesced system is unwound
-(:meth:`CoreScheduler.materialize`) before comparing — exactly the
-state the legacy engine holds at that instant.
+Observation lands deferred accounting: an open window applies its
+plan only at the window event, so the coalesced system's boundaries up
+to ``now`` are landed in place (:meth:`CoreScheduler.materialize`,
+which keeps the window open) before comparing — exactly the state the
+legacy engine holds at that instant.  Each stack also carries a
+periodic ``"daemon"``-class observer on the quantum grid: the horizon
+looks through it, so it reads inside open windows and ties with
+window ends, and its recordings are part of every comparison.
 """
 
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.mpos.daemons import DAEMON_EVENT_CATEGORY
 from repro.mpos.queues import MsgQueue
 from repro.mpos.system import MPOS
 from repro.mpos.task import StreamTask, TaskState
 from repro.platform.presets import CONF1_STREAMING, build_chip
 from repro.sim.kernel import Simulator
 
+QUANTUM_S = 0.001
 
-def build_stack(coalesce):
+#: The observer ticks every four quanta, each next tick time built by
+#: the same float additions as four full-quantum slice boundaries, so
+#: a rotation started on a tick keeps hitting later ticks exactly.
+OBSERVER_QUANTA = 4
+
+#: Each stack's observer recordings, keyed by its simulator.
+RECORDINGS = weakref.WeakKeyDictionary()
+
+
+def build_stack(coalesce, a_cycles=3.7e6):
     """Two tiles: a contended rotation (a, b) on tile 0, a solo
-    consumer (c) on tile 1 fed by a's output — cross-tile wake-ups."""
+    consumer (c) on tile 1 fed by a's output — cross-tile wake-ups —
+    plus the periodic observer (see :data:`RECORDINGS`)."""
     sim = Simulator()
     chip = build_chip(lambda: sim.now, 2, CONF1_STREAMING, sim=sim)
-    mpos = MPOS(sim, chip, quantum_s=0.001)
+    mpos = MPOS(sim, chip, quantum_s=QUANTUM_S)
     for s in mpos.schedulers:
         s.coalesce = coalesce
 
@@ -42,26 +59,48 @@ def build_stack(coalesce):
     for q in queues.values():
         mpos.bind_queue(q)
 
-    # Deliberately non-round cycle counts: completion boundaries fall
-    # off the quantum grid, so virtual boundaries exercise drift.
-    a = StreamTask("a", cycles_per_frame=3.7e6, frame_period_s=0.04)
+    # Deliberately non-round cycle counts for a and c: completion
+    # boundaries fall off the quantum grid, so virtual boundaries
+    # exercise drift.  b is exactly eight quanta at the mapped 266.5
+    # MHz, so a rotation started on the grid completes on an observer
+    # tick — a window end tied with a pending transparent event.
+    a = StreamTask("a", cycles_per_frame=a_cycles, frame_period_s=0.04)
     a.inputs, a.outputs = [queues["qa"]], [queues["q1"]]
-    b = StreamTask("b", cycles_per_frame=2.1e6, frame_period_s=0.04)
+    b = StreamTask("b", cycles_per_frame=8 * QUANTUM_S * 266.5e6,
+                   frame_period_s=0.04)
     b.inputs, b.outputs = [queues["qb"]], [queues["q2"]]
     c = StreamTask("c", cycles_per_frame=5.3e6, frame_period_s=0.04)
     c.inputs, c.outputs = [queues["q1"]], [queues["q3"]]
     mpos.map_task(a, 0)
     mpos.map_task(b, 0)
     mpos.map_task(c, 1)
+
+    recording = RECORDINGS[sim] = []
+
+    def record():
+        # Rescheduled before reading, a full period ahead, like the
+        # statistics daemons' ``PeriodicProcess``.
+        t = sim.now
+        for _ in range(OBSERVER_QUANTA):
+            t += QUANTUM_S
+        sim.schedule_at(t, record).category = DAEMON_EVENT_CATEGORY
+        # A statistics-daemon-class read of every task's live cycles.
+        for s in mpos.schedulers:
+            s.materialize()
+        recording.append((sim.now.hex(),)
+                         + tuple(t.total_cycles.hex() for t in (a, b, c)))
+
+    sim.schedule_at(OBSERVER_QUANTA * QUANTUM_S, record).category = \
+        DAEMON_EVENT_CATEGORY
     return sim, chip, mpos, queues, (a, b, c)
 
 
 def observe(sim, chip, mpos, queues, tasks):
-    """Full bitwise snapshot; unwinds open windows first so deferred
-    boundary replays are materialized (the legacy-equivalent state)."""
+    """Full bitwise snapshot; lands open windows' boundaries first so
+    deferred accounting is materialized (the legacy-equivalent state)."""
     for s in mpos.schedulers:
         s.materialize()
-    snap = {"now": sim.now.hex()}
+    snap = {"now": sim.now.hex(), "observer": tuple(RECORDINGS[sim])}
     for t in tasks:
         snap[t.name] = (t.state.name, t.phase.name, t.frames_done,
                         t.remaining_cycles.hex(), t.total_cycles.hex())
@@ -200,6 +239,85 @@ class TestUnwindPaths:
         assert sched.slices_coalesced > 0
         # Far fewer kernel events than slices: windows replayed them.
         assert sim.events_executed < sched.slices_run
+
+
+def spy_window_ends(sim, sched):
+    """Record, for every window end of ``sched``, whether a pending
+    event tied with it (the tie-end path)."""
+    ties = []
+    end_coalesced = sched._end_coalesced
+
+    def spy():
+        ties.append(sim.peek_time() == sim.now)
+        end_coalesced()
+
+    # ``_begin_coalesced`` schedules ``self._end_coalesced``, so the
+    # instance attribute intercepts every window planned from here on.
+    sched._end_coalesced = spy
+    return ties
+
+
+class TestPlannedWindows:
+    """A window is planned once and applied once; reads land in place."""
+
+    def test_materialize_mid_window_keeps_window_open(self):
+        fast = build_stack(coalesce=True)
+        slow = build_stack(coalesce=False)
+        for stack in (fast, slow):
+            for _ in range(3):
+                stack[3]["qa"].push("f")
+                stack[3]["qb"].push("f")
+            stack[0].run_until(0.0035)   # mid-quantum, mid-window
+        sched = fast[2].scheduler(0)
+        window = sched._co_event
+        assert window is not None and not window.cancelled
+        slices_before = sched.slices_run
+        sched.materialize()
+        # Boundaries before ``now`` landed; the window is still the
+        # same pending event.
+        assert sched._co_event is window and not window.cancelled
+        assert sched.slices_run > slices_before
+        assert observe(*fast) == observe(*slow)
+        for stack in (fast, slow):
+            stack[0].run_until(window.time)
+        assert window.cancelled is False and sched._co_event is not window
+        assert observe(*fast) == observe(*slow)
+
+    def test_window_ending_on_a_tied_tick_matches_legacy(self):
+        # ``a`` runs solo for exactly eight full quanta from t=0: its
+        # window ends on the observer's second tick, rescheduled inside
+        # the window and hence still pending behind the window event.
+        # (The mapping's DVFS pick for this load is 133.25 MHz.)
+        f_hz = 133.25e6
+        quantum_cycles = QUANTUM_S * f_hz
+        fast = build_stack(coalesce=True, a_cycles=8 * quantum_cycles)
+        slow = build_stack(coalesce=False, a_cycles=8 * quantum_cycles)
+        sim, chip, mpos, queues, tasks = fast
+        assert chip.tile(0).frequency_hz == f_hz
+        ties = spy_window_ends(sim, mpos.scheduler(0))
+        for stack in (fast, slow):
+            stack[3]["qa"].push("f")
+            stack[0].run_until(0.02)
+        assert observe(*fast) == observe(*slow)
+        assert ties and ties[0] is True
+        assert tasks[0].frames_done == 1
+
+    def test_rotation_window_ends_on_a_tied_tick(self):
+        # The (a, b) rotation starts on the grid at one quantum; b
+        # completes after its eighth slice, at 16 quanta — an observer
+        # tick — while the observer reads inside the open windows.
+        fast = build_stack(coalesce=True)
+        slow = build_stack(coalesce=False)
+        ties = spy_window_ends(fast[0], fast[2].scheduler(0))
+        for stack in (fast, slow):
+            for _ in range(4):
+                stack[3]["qa"].push("f")
+                stack[3]["qb"].push("f")
+            stack[0].run_until(0.1)
+        assert observe(*fast) == observe(*slow)
+        assert ties[0] is True
+        assert len(RECORDINGS[fast[0]]) > 20
+        assert fast[0].events_executed < slow[0].events_executed
 
 
 def run_report(mode, policy):

@@ -392,7 +392,7 @@ class TestLoadModulationEdgeCases:
         sim.run_until(2.0)          # well past the departure at t=1
         assert app.stopped
         modulator_events = [
-            e for e in sim._queue if not e.cancelled
+            e for *_, e in sim._queue if not e.cancelled
             and getattr(e.callback, "__self__", None).__class__.__name__
             == "LoadModulator"]
         assert modulator_events == []
